@@ -26,8 +26,7 @@
 //   - threshold (BENCH_threshold.json via `make bench-threshold`): the
 //     exact permutation executors — span kernel, threshold-sliced kernel,
 //     and the scalar per-threshold decomposition — on identical
-//     pregenerated permutation inputs, plus a measured tuner calibration
-//     table over the suite's shapes. The threshold kernel does Θ(N/64)×
+//     pregenerated permutation inputs. The threshold kernel does Θ(N/64)×
 //     the span kernel's work by construction, so the report's honest
 //     ratios show span far ahead on throughput and the threshold kernel
 //     far ahead of the scalar decomposition it replaces for
@@ -85,7 +84,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
-	"repro/internal/kernels"
 	"repro/internal/mcbatch"
 	"repro/internal/report"
 	"repro/internal/rng"
@@ -279,11 +277,6 @@ type thresholdResult struct {
 type thresholdSuiteReport struct {
 	hostInfo
 	Results []thresholdResult `json:"results"`
-	// Tuner is a measured calibration table over the suite's shapes,
-	// produced with the same probe machinery mcbatch uses when
-	// $MESHSORT_TUNE is on — recorded so the report shows what a measured
-	// auto-tune would pick on this machine.
-	Tuner kernels.Table `json:"tuner"`
 }
 
 // allocsPerOp runs fn once outside any timed region and returns the heap
@@ -1273,31 +1266,6 @@ func runThresholdSuite(reps, trials int) (any, string, error) {
 		}
 		rep.Results = append(rep.Results, r)
 	}
-
-	// Calibrate a measured tuner over the same shapes, with a probe that
-	// runs a small pinned batch per kernel — exactly what mcbatch does
-	// under $MESHSORT_TUNE — and record the table in the report.
-	tu := kernels.NewTuner("")
-	for _, side := range sides {
-		side := side
-		key := kernels.Key{Algorithm: "snake-a", Rows: side, Cols: side, Class: kernels.Permutation}
-		probe := func(k core.Kernel) (float64, error) {
-			const probeTrials = 4
-			spec := mcbatch.Spec{
-				Algorithm: meshsort.SnakeA, Rows: side, Cols: side,
-				Trials: probeTrials, Seed: seed, Workers: 1, Kernel: k,
-			}
-			start := time.Now()
-			if _, err := mcbatch.RunCtx(context.Background(), spec); err != nil {
-				return 0, err
-			}
-			return float64(time.Since(start).Nanoseconds()) / probeTrials, nil
-		}
-		if _, err := tu.Calibrate(key, probe); err != nil {
-			return nil, "", err
-		}
-	}
-	rep.Tuner = tu.Table()
 
 	mid := rep.Results[1]
 	summary := fmt.Sprintf("threshold vs scalar decomposition %.2fx, vs span %.3fx at side 32 (%d chunks/trial)",

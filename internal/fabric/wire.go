@@ -70,8 +70,8 @@ func RequestFromSpec(s mcbatch.Spec) (ShardRequest, error) {
 }
 
 // ToSpec reconstructs the sub-Spec a worker should run. Execution hints
-// are left zero so the worker's own registry/tuner picks the executor —
-// a choice that cannot change results.
+// are left zero so the worker's kernels.Select routes the shard by its
+// shape — a choice that cannot change results.
 func (r ShardRequest) ToSpec() (mcbatch.Spec, error) {
 	alg, err := core.ByName(r.Algorithm)
 	if err != nil {
@@ -116,7 +116,8 @@ type ShardResponse struct {
 	// its own hash of the same sub-Spec — the cheap guard against
 	// version drift between nodes.
 	Key string `json:"key"`
-	// Kernel and Shards record how the worker executed the shard;
+	// Kernel and Shards record how the worker executed the shard, as
+	// mcbatch.Batch reports them (a split 0-1 shard reports sliced);
 	// observability only.
 	Kernel string `json:"kernel,omitempty"`
 	Shards int    `json:"shards,omitempty"`

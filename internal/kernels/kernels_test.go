@@ -1,11 +1,6 @@
 package kernels
 
 import (
-	"bytes"
-	"errors"
-	"os"
-	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -23,11 +18,11 @@ func TestRegistryShape(t *testing.T) {
 			t.Errorf("entry %q serves no class", e.Name)
 		}
 	}
-	if k := Fallback(Permutation); k != core.KernelSpan {
-		t.Fatalf("permutation fallback = %v, want span", k)
+	if r := Select(core.KernelAuto, Shape{Class: Permutation, Rows: 32, Cols: 32, Trials: 64, Cores: 1}); r.Kernel != core.KernelSpan {
+		t.Fatalf("permutation default = %v, want span", r.Kernel)
 	}
-	if k := Fallback(ZeroOne); k != core.KernelSliced {
-		t.Fatalf("zeroone fallback = %v, want sliced", k)
+	if r := Select(core.KernelAuto, Shape{Class: ZeroOne, Rows: 32, Cols: 32, Trials: 64, Cores: 1}); r.Kernel != core.KernelSliced {
+		t.Fatalf("zeroone default = %v, want sliced", r.Kernel)
 	}
 	for _, tc := range []struct {
 		k    core.Kernel
@@ -57,155 +52,97 @@ func TestRegistryShape(t *testing.T) {
 	}
 }
 
-// TestShardedGate pins the sharded span entry's selection contract: it
-// is gated, so the ungated Fallback never returns it, small meshes
-// always resolve to the serial span kernel, and a big mesh picks it
-// exactly when AutoShards finds a multi-shard split on this host.
+// TestShardedGate pins the sharded span executor's selection contract:
+// small meshes always route to the serial span kernel, and a big mesh
+// routes to the sharded executor exactly when AutoShards finds a
+// multi-shard split for the given core count.
 func TestShardedGate(t *testing.T) {
-	if k := FallbackFor(Key{Algorithm: "snake-a", Rows: 16, Cols: 16, Class: Permutation}); k != core.KernelSpan {
-		t.Fatalf("small-mesh fallback = %v, want span", k)
+	small := Shape{Class: Permutation, Rows: 16, Cols: 16, Trials: 8, Cores: 64}
+	if r := Select(core.KernelAuto, small); r.Kernel != core.KernelSpan {
+		t.Fatalf("small-mesh route = %v, want span", r.Kernel)
 	}
-	want := core.KernelSpan
-	if core.AutoShards(1024, 1024, runtime.NumCPU()) > 1 {
-		want = core.KernelSpanSharded
-	}
-	if k := FallbackFor(Key{Algorithm: "snake-a", Rows: 1024, Cols: 1024, Class: Permutation}); k != want {
-		t.Fatalf("big-mesh fallback = %v, want %v (NumCPU=%d)", k, want, runtime.NumCPU())
-	}
-}
-
-// fakeProbe returns synthetic fixed timings per kernel name, so the
-// calibration outcome — and the persisted table — is deterministic.
-func fakeProbe(ns map[string]float64) Probe {
-	return func(k core.Kernel) (float64, error) {
-		v, ok := ns[core.KernelName(k)]
-		if !ok {
-			return 0, errors.New("no timing")
+	for _, cores := range []int{1, 2, 8} {
+		want := core.KernelSpan
+		if core.AutoShards(1024, 1024, cores) > 1 {
+			want = core.KernelSpanSharded
 		}
-		return v, nil
+		big := Shape{Class: Permutation, Rows: 1024, Cols: 1024, Trials: 1, Cores: cores}
+		if r := Select(core.KernelAuto, big); r != (Route{Kernel: want}) {
+			t.Fatalf("big-mesh route on %d cores = %+v, want %v", cores, r, want)
+		}
+	}
+	if core.AutoShards(1024, 1024, 1) > 1 || core.AutoShards(1024, 1024, 8) < 2 {
+		t.Fatal("AutoShards no longer separates 1 core from 8 at side 1024; the gate test covers one branch only")
 	}
 }
 
-// TestTunerGoldenTable pins the calibration table's on-disk format: a
-// calibration run with synthetic timings must write exactly the bytes of
-// testdata/tuner_table.json, and a fresh tuner must load them back and
-// honor the recorded choice without re-probing.
-func TestTunerGoldenTable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tuner.json")
-	tu := NewTuner(path)
-	permKey := Key{Algorithm: "snake-a", Rows: 32, Cols: 32, Class: Permutation}
-	zoKey := Key{Algorithm: "snake-a", Rows: 32, Cols: 32, Class: ZeroOne}
-	if k, err := tu.Calibrate(permKey, fakeProbe(map[string]float64{
-		"span": 350000, "generic": 2800000, "threshold": 21000000,
-	})); err != nil || k != core.KernelSpan {
-		t.Fatalf("permutation calibration = %v, %v", k, err)
-	}
-	if k, err := tu.Calibrate(zoKey, fakeProbe(map[string]float64{
-		"sliced": 25000, "packed": 90000, "generic": 400000,
-	})); err != nil || k != core.KernelSliced {
-		t.Fatalf("zeroone calibration = %v, %v", k, err)
+// TestSelectRule pins the 0-1 routing rule at its boundaries: the
+// crossover of each side (one below it splits, at it the tail stays a
+// sliced block), exactly one slice, an empty batch, the cap, and a
+// rectangular mesh, whose side is ⌊√(R·C)⌋.
+func TestSelectRule(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols, crossover int
+	}{
+		{1, 1, 0}, {4, 4, 3}, {8, 8, 6}, {9, 8, 6}, {12, 12, 9}, {16, 16, 12},
+		{20, 20, 15}, {24, 24, 18}, {25, 25, 18}, {128, 128, 18}, {2, 64, 8}, {64, 2, 8},
+	} {
+		if got := PackedCrossover(tc.rows, tc.cols); got != tc.crossover {
+			t.Errorf("PackedCrossover(%d, %d) = %d, want %d", tc.rows, tc.cols, got, tc.crossover)
+		}
 	}
 
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "tuner_table.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("calibration table format changed:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-
-	// A fresh tuner must reload the table and serve the choice from it —
-	// the probe must not run again.
-	reloaded := NewTuner(path)
-	poison := Probe(func(core.Kernel) (float64, error) {
-		t.Fatal("probe called despite a cached calibration")
-		return 0, nil
-	})
-	if k := reloaded.Resolve(core.KernelAuto, permKey, poison); k != core.KernelSpan {
-		t.Fatalf("reloaded resolve = %v, want span", k)
-	}
-}
-
-// TestTableBeatsPriors pins that a calibrated choice overrides the static
-// priors: with synthetic timings making the generic kernel fastest, Auto
-// must resolve to generic, not the span fallback.
-func TestTableBeatsPriors(t *testing.T) {
-	tu := NewTuner("")
-	key := Key{Algorithm: "rm-rf", Rows: 8, Cols: 8, Class: Permutation}
-	if k, err := tu.Calibrate(key, fakeProbe(map[string]float64{
-		"span": 900, "generic": 100, "threshold": 5000,
-	})); err != nil || k != core.KernelGeneric {
-		t.Fatalf("calibration = %v, %v", k, err)
-	}
-	if k := tu.Resolve(core.KernelAuto, key, nil); k != core.KernelGeneric {
-		t.Fatalf("resolve = %v, want calibrated generic", k)
-	}
-	// An explicit hint still wins over the table.
-	if k := tu.Resolve(core.KernelSpan, key, nil); k != core.KernelSpan {
-		t.Fatalf("hinted resolve = %v, want span", k)
-	}
-}
-
-// TestEnvKernelOverride pins the CI determinism knob: MESHSORT_KERNEL
-// forces auto-resolved batches to one kernel, is ignored when it does not
-// serve the class or names nonsense, and never beats an explicit hint.
-func TestEnvKernelOverride(t *testing.T) {
-	tu := NewTuner("")
-	permKey := Key{Algorithm: "snake-b", Rows: 6, Cols: 6, Class: Permutation}
-
-	t.Setenv(EnvKernel, "threshold")
-	if k := tu.Resolve(core.KernelAuto, permKey, nil); k != core.KernelThreshold {
-		t.Fatalf("override resolve = %v, want threshold", k)
-	}
-	if k := tu.Resolve(core.KernelGeneric, permKey, nil); k != core.KernelGeneric {
-		t.Fatalf("hint under override = %v, want generic", k)
-	}
-
-	t.Setenv(EnvKernel, "sliced") // does not serve permutations: ignored
-	if k := tu.Resolve(core.KernelAuto, permKey, nil); k != core.KernelSpan {
-		t.Fatalf("class-mismatched override resolve = %v, want span fallback", k)
-	}
-
-	t.Setenv(EnvKernel, "warp-drive") // unknown: ignored
-	if k := tu.Resolve(core.KernelAuto, permKey, nil); k != core.KernelSpan {
-		t.Fatalf("unknown override resolve = %v, want span fallback", k)
-	}
-}
-
-func TestTuningEnabled(t *testing.T) {
-	for val, want := range map[string]bool{"": false, "0": false, "off": false, "1": true, "on": true} {
-		t.Setenv(EnvTune, val)
-		if got := TuningEnabled(); got != want {
-			t.Errorf("TuningEnabled with %q = %v, want %v", val, got, want)
+	sliced := func(tail int) Route { return Route{Kernel: core.KernelSliced, PackedTail: tail} }
+	packed := Route{Kernel: core.KernelPacked}
+	for _, tc := range []struct {
+		rows, cols, trials int
+		want               Route
+	}{
+		{8, 8, 0, sliced(0)},
+		{8, 8, 1, packed},
+		{8, 8, 5, packed},
+		{8, 8, 6, sliced(0)},
+		{8, 8, 63, sliced(0)},
+		{8, 8, 64, sliced(0)},
+		{8, 8, 65, sliced(1)},
+		{8, 8, 69, sliced(5)},
+		{8, 8, 70, sliced(0)},
+		{8, 8, 128, sliced(0)},
+		{16, 16, 11, packed},
+		{16, 16, 12, sliced(0)},
+		{16, 16, 75, sliced(11)},
+		{16, 16, 76, sliced(0)},
+		{128, 128, 1, packed},
+		{128, 128, 17, packed},
+		{128, 128, 18, sliced(0)},
+		{128, 128, 1000, sliced(0)}, // tail 40
+		{128, 128, 1041, sliced(17)},
+		{2, 64, 7, packed},
+		{2, 64, 8, sliced(0)},
+		{9, 8, 200, sliced(0)}, // tail 8
+		{9, 8, 197, sliced(5)},
+	} {
+		s := Shape{Class: ZeroOne, Rows: tc.rows, Cols: tc.cols, Trials: tc.trials, Cores: 2}
+		if got := Select(core.KernelAuto, s); got != tc.want {
+			t.Errorf("Select(auto, %dx%d, %d trials) = %+v, want %+v", tc.rows, tc.cols, tc.trials, got, tc.want)
 		}
 	}
 }
 
-func TestCalibrateAllProbesFail(t *testing.T) {
-	tu := NewTuner("")
-	key := Key{Algorithm: "snake-a", Rows: 4, Cols: 4, Class: ZeroOne}
-	k, err := tu.Calibrate(key, fakeProbe(nil))
-	if err == nil || k != core.KernelSliced {
-		t.Fatalf("all-fail calibration = %v, %v; want sliced fallback with error", k, err)
+// TestPinnedHintsNeverSplit pins that a hint serving the batch's class
+// runs every trial on that executor — no packed tail, whatever the trial
+// count — and that a hint of the other class is treated as Auto.
+func TestPinnedHintsNeverSplit(t *testing.T) {
+	for _, k := range []core.Kernel{core.KernelSliced, core.KernelPacked, core.KernelGeneric} {
+		for _, trials := range []int{0, 1, 7, 63, 64, 65, 71, 200} {
+			s := Shape{Class: ZeroOne, Rows: 8, Cols: 8, Trials: trials, Cores: 2}
+			if got := Select(k, s); got != (Route{Kernel: k}) {
+				t.Errorf("Select(%s, %d trials) = %+v, want the pinned kernel alone", core.KernelName(k), trials, got)
+			}
+		}
 	}
-	if len(tu.Table().Entries) != 0 {
-		t.Fatal("failed calibration recorded an entry")
-	}
-}
-
-// TestTunerDiscardsStaleTable pins version gating: a table with another
-// version is ignored, never trusted.
-func TestTunerDiscardsStaleTable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stale.json")
-	if err := os.WriteFile(path, []byte(`{"version": 99, "entries": {"x": {"kernel": "generic"}}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tu := NewTuner(path)
-	if got := len(tu.Table().Entries); got != 0 {
-		t.Fatalf("stale table loaded %d entries", got)
+	s := Shape{Class: ZeroOne, Rows: 8, Cols: 8, Trials: 65, Cores: 2}
+	if got, want := Select(core.KernelSpan, s), Select(core.KernelAuto, s); got != want {
+		t.Errorf("cross-class hint routed %+v, want the auto route %+v", got, want)
 	}
 }

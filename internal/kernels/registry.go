@@ -1,20 +1,22 @@
 // Package kernels is the single registry of the repository's executor
-// families — the kernels behind engine.Kernel — plus the measured
-// auto-tuner that picks one for a batch. It replaces the hand-coded
-// per-kernel selection branches that used to live in internal/mcbatch:
-// dispatch sites ask the registry which kernels can serve a workload
-// class and ask the tuner (or the static priors) which one should.
+// families — the kernels behind engine.Kernel — plus the size rule that
+// picks one for a batch. Dispatch sites ask the registry which kernels
+// can serve a workload class and ask Select which one should run.
+//
+// Selection is a pure function of the batch shape (class, mesh, trial
+// count, host cores): no timing, no environment variable, no persisted
+// state. Its thresholds are read off the committed measurements cited at
+// each constant, and since every registered kernel of a class is
+// bit-identical on it, the rule decides speed only, never results.
 //
 // The registry is deliberately data: adding a kernel means adding one
-// Entry here and one runner in the dispatch table of the caller, and the
+// Entry here and one runner in the caller's dispatch, and the
 // differential harness (internal/kerneltest) picks it up from the same
 // listing — so an executor cannot be registered without being proven
 // bit-identical to the others.
 package kernels
 
 import (
-	"runtime"
-
 	"repro/internal/core"
 )
 
@@ -31,7 +33,7 @@ const (
 	ZeroOne
 )
 
-// String returns the class identifier used in tuner table keys.
+// String returns the class identifier used in test and log output.
 func (c Class) String() string {
 	if c == ZeroOne {
 		return "zeroone"
@@ -55,45 +57,24 @@ type Entry struct {
 	Name string
 	// Classes lists the workload classes the kernel serves exactly.
 	Classes []Class
-	// Prior orders kernels within a class when no measurement exists:
-	// the eligible entry with the lowest Prior is the static default.
-	// The values encode the measured rankings of BENCH_kernel.json and
-	// BENCH_zeroone.json; a measured calibration overrides them.
-	Prior int
 	// Doc is a one-line description for help output and docs.
 	Doc string
-	// Gate, when non-nil, restricts *automatic* selection: the static
-	// fallback skips entries whose gate rejects the batch shape. Hints,
-	// the env override, and calibrated/probed choices ignore it — a
-	// pinned or measured decision is always honored. Gates exist for
-	// kernels whose win condition depends on the host (the sharded span
-	// executor needs a mesh big enough and cores idle enough to pay for
-	// its barrier), where a static prior alone would misfire.
-	Gate func(k Key) bool
 }
 
 // registry lists every executor family. Order is presentation order.
 var registry = []Entry{
-	{core.KernelSpanSharded, "span-sharded", []Class{Permutation}, 5,
-		"sharded span executor; cache-blocked row shards behind a phase barrier — for meshes that outgrow one core's cache", spanShardedGate},
-	{core.KernelSpan, "span", []Class{Permutation}, 10,
-		"compiled span programs; branchless strided sweeps over the mesh", nil},
-	{core.KernelSliced, "sliced", []Class{ZeroOne}, 10,
-		"trial-sliced 0-1 kernel; 64 trials in lockstep, one bit lane each", nil},
-	{core.KernelPacked, "packed", []Class{ZeroOne}, 50,
-		"cell-packed 0-1 kernel; 64 cells of one trial per word", nil},
-	{core.KernelGeneric, "generic", []Class{Permutation, ZeroOne}, 90,
-		"scalar cellwise engine; the reference every kernel is proven against", nil},
-	{core.KernelThreshold, "threshold", []Class{Permutation}, 200,
-		"threshold-sliced permutation kernel via the 0-1 principle; exact but Θ(N/64)x the span work — the verification executor", nil},
-}
-
-// spanShardedGate admits the sharded span executor only when the mesh ×
-// host combination can actually win: AutoShards must find a multi-shard
-// split worth a barrier given the machine's core count. Everywhere else
-// the serial span kernel (prior 10) remains the static default.
-func spanShardedGate(k Key) bool {
-	return core.AutoShards(k.Rows, k.Cols, runtime.NumCPU()) > 1
+	{core.KernelSpanSharded, "span-sharded", []Class{Permutation},
+		"sharded span executor; cache-blocked row shards behind a phase barrier — for meshes that outgrow one core's cache"},
+	{core.KernelSpan, "span", []Class{Permutation},
+		"compiled span programs; branchless strided sweeps over the mesh"},
+	{core.KernelSliced, "sliced", []Class{ZeroOne},
+		"trial-sliced 0-1 kernel; 64 trials in lockstep, one bit lane each"},
+	{core.KernelPacked, "packed", []Class{ZeroOne},
+		"cell-packed 0-1 kernel; 64 cells of one trial per word"},
+	{core.KernelGeneric, "generic", []Class{Permutation, ZeroOne},
+		"scalar cellwise engine; the reference every kernel is proven against"},
+	{core.KernelThreshold, "threshold", []Class{Permutation},
+		"threshold-sliced permutation kernel via the 0-1 principle; exact but Θ(N/64)x the span work — the verification executor"},
 }
 
 // All returns every registered executor family.
@@ -103,18 +84,12 @@ func All() []Entry {
 	return out
 }
 
-// Eligible returns the entries serving class c, in Prior order (best
-// static choice first).
+// Eligible returns the entries serving class c, in registry order.
 func Eligible(c Class) []Entry {
 	var out []Entry
 	for _, e := range registry {
 		if e.serves(c) {
 			out = append(out, e)
-		}
-	}
-	for i := 1; i < len(out); i++ { // registry is small; insertion sort
-		for j := i; j > 0 && out[j].Prior < out[j-1].Prior; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
 	return out
@@ -140,26 +115,75 @@ func Supports(id core.Kernel, c Class) bool {
 	return false
 }
 
-// Fallback returns the class's ungated static default: the eligible
-// kernel with the lowest Prior whose selection does not depend on batch
-// shape (span for permutations, sliced for 0-1 batches).
-func Fallback(c Class) core.Kernel {
-	for _, e := range Eligible(c) {
-		if e.Gate == nil {
-			return e.ID
-		}
-	}
-	return core.KernelGeneric
+// Shape is everything the selection rule reads off a batch.
+type Shape struct {
+	Class      Class
+	Rows, Cols int
+	Trials     int
+	// Cores is the host's CPU count; it gates the sharded span executor.
+	Cores int
 }
 
-// FallbackFor returns the static default for one concrete batch: the
-// eligible kernel with the lowest Prior whose Gate (if any) admits the
-// batch shape on this host.
-func FallbackFor(key Key) core.Kernel {
-	for _, e := range Eligible(key.Class) {
-		if e.Gate == nil || e.Gate(key) {
-			return e.ID
-		}
+// Route is the executor assignment of one batch.
+type Route struct {
+	// Kernel runs the batch's leading trials, and names the batch in
+	// reports: for a split 0-1 batch it is the trial-sliced kernel.
+	Kernel core.Kernel
+	// PackedTail is how many trailing trials run on the cell-packed
+	// kernel instead. It is nonzero only for an auto-routed 0-1 batch
+	// that holds at least one full 64-trial slice and a ragged tail below
+	// PackedCrossover.
+	PackedTail int
+}
+
+// Select maps a caller's kernel hint and a batch shape to the route that
+// runs it. A hint naming a kernel of the batch's class pins that executor
+// for every trial; any other hint, KernelAuto included, asks the rule:
+//
+//   - Permutation: the sharded span executor when AutoShards finds a
+//     multi-shard split for the mesh on s.Cores, else the span kernel.
+//   - ZeroOne: every full 64-trial slice runs trial-sliced; the ragged
+//     tail (Trials % 64, which is the whole batch below 64 trials) runs
+//     cell-packed when it is below PackedCrossover, and as one more
+//     sliced block otherwise.
+func Select(hint core.Kernel, s Shape) Route {
+	if hint != core.KernelAuto && Supports(hint, s.Class) {
+		return Route{Kernel: hint}
 	}
-	return core.KernelGeneric
+	if s.Class == Permutation {
+		if core.AutoShards(s.Rows, s.Cols, s.Cores) > 1 {
+			return Route{Kernel: core.KernelSpanSharded}
+		}
+		return Route{Kernel: core.KernelSpan}
+	}
+	tail := s.Trials % 64
+	switch {
+	case tail == 0 || tail >= PackedCrossover(s.Rows, s.Cols):
+		return Route{Kernel: core.KernelSliced}
+	case tail == s.Trials:
+		return Route{Kernel: core.KernelPacked}
+	default:
+		return Route{Kernel: core.KernelSliced, PackedTail: tail}
+	}
+}
+
+// crossoverSide is the side from which PackedCrossover stops growing.
+// In the DESIGN.md §10 crossover table the one-worker crossover climbs
+// with the side up to 24 and then holds at 21–24 trials through side 128.
+const crossoverSide = 24
+
+// PackedCrossover is the tail size from which the ragged part of a 0-1
+// batch runs as one more trial-sliced block instead of trial by trial on
+// the cell-packed kernel: 3s/4 for an R×C mesh of side
+// s = min(⌊√(R·C)⌋, crossoverSide). In the DESIGN.md §10 crossover table
+// packed stops winning at about s+1 trials on one worker (10 at side 8,
+// 12–13 at 12, 17 at 16, 19–20 at 20, 21–24 from 24 to 128) and no
+// earlier on two, so the 3/4 factor keeps packed 10–30% faster at the
+// largest tail the rule sends to it.
+func PackedCrossover(rows, cols int) int {
+	s := 0
+	for s < crossoverSide && (s+1)*(s+1) <= rows*cols {
+		s++
+	}
+	return 3 * s / 4
 }

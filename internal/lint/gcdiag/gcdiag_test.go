@@ -29,8 +29,7 @@ func TestManifestVersion(t *testing.T) {
 }
 
 // TestGoldenRoundTrip loads the committed manifest, pushes it through a
-// marshal/unmarshal cycle, and requires bit-equal structures — the same
-// discipline the tuner table's golden file gets.
+// marshal/unmarshal cycle, and requires bit-equal structures.
 func TestGoldenRoundTrip(t *testing.T) {
 	golden, err := Load(filepath.Join(moduleRoot(t), filepath.FromSlash(GoldenPath)))
 	if err != nil {

@@ -18,15 +18,14 @@
 //   - Workers reuse their scratch buffers (input grid, trial slice)
 //     across the trials they claim, so the steady-state trial loop
 //     allocates nothing per trial for the canonical workloads.
-//   - Executor selection goes through the kernel registry and tuner
-//     (internal/kernels): Spec.Kernel pins a family that serves the
-//     batch's workload class; otherwise the $MESHSORT_KERNEL override, a
-//     calibrated choice, or the static priors pick one. The priors keep
-//     the measured defaults — the engine's span kernel for permutation
-//     trials (branchless strided sweeps) and the trial-sliced 0-1 kernel
-//     for ZeroOne batches (64 trials in lockstep, one bit lane each) —
-//     and every registered kernel of a class is bit-identical on it, so
-//     the choice can never change results.
+//   - Executor selection is kernels.Select, a size rule: Spec.Kernel
+//     pins a family that serves the batch's workload class; otherwise
+//     permutation trials run on the engine's span kernel (sharded on big
+//     meshes), and a ZeroOne batch runs its full 64-trial slices on the
+//     trial-sliced kernel and a small ragged tail — the whole batch below
+//     64 trials — on the cell-packed kernel, all in one worker pool.
+//     Every registered kernel of a class is bit-identical on it, so the
+//     choice can never change results.
 package mcbatch
 
 import (
@@ -36,7 +35,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -161,14 +159,15 @@ type Spec struct {
 	// grids holding only 0s and 1s (nil Gen draws half-0/half-1 grids).
 	ZeroOne bool
 	// Kernel selects the executor family; it is a hint that cannot change
-	// results. The zero value, core.KernelAuto, asks the kernel registry
-	// and tuner (internal/kernels) to choose — the span kernel for
-	// permutation batches and the trial-sliced kernel for ZeroOne batches
-	// unless a calibration or $MESHSORT_KERNEL says otherwise. A hint
-	// naming a kernel of the batch's class (permutation: generic, span,
-	// threshold; ZeroOne: generic, packed, sliced) pins that executor;
-	// a hint from the other class is treated as Auto, so the option is
-	// never an error.
+	// results. The zero value, core.KernelAuto, lets kernels.Select route
+	// the batch by its shape: span (or span-sharded) for permutation
+	// batches; for ZeroOne batches, trial-sliced for the full 64-trial
+	// slices and cell-packed for a ragged tail below
+	// kernels.PackedCrossover. A hint naming a kernel of the batch's class
+	// (permutation: generic, span, span-sharded, threshold; ZeroOne:
+	// generic, packed, sliced) runs every trial on that executor; a hint
+	// from the other class is treated as Auto, so the option is never an
+	// error.
 	Kernel core.Kernel
 	// Shards is the intra-trial row-shard count for the sharded span
 	// executor; it matters only when that kernel runs. 0 resolves
@@ -206,10 +205,12 @@ type Batch struct {
 	// any worker count and kernel family).
 	Steps stats.Welford
 	// Kernel records the executor family the batch actually ran with —
-	// the resolved hint, after registry/tuner selection and any
-	// downgrade (a sharded request that resolves to one shard runs the
-	// serial span kernel and reports it). Execution metadata for
-	// observability; never part of a result payload.
+	// the resolved hint, after kernels.Select and any downgrade (a
+	// sharded request that resolves to one shard runs the serial span
+	// kernel and reports it). A split 0-1 batch, whose full slices ran
+	// trial-sliced and whose ragged tail ran cell-packed, reports sliced:
+	// the value names the executor of the batch's first trial. Execution
+	// metadata for observability; never part of a result payload.
 	Kernel core.Kernel
 	// Shards records the effective intra-trial shard count (1 for every
 	// unsharded executor). Execution metadata like Kernel.
@@ -281,8 +282,13 @@ func RunCtx(ctx context.Context, spec Spec) (*Batch, error) {
 		return g, nil
 	}
 
-	class := kernels.ClassOf(spec.ZeroOne)
-	kern := resolveKernel(ctx, spec, seed, stream, makeInput)
+	route := kernels.Select(spec.Kernel, kernels.Shape{
+		Class: kernels.ClassOf(spec.ZeroOne),
+		Rows:  spec.Rows, Cols: spec.Cols,
+		Trials: spec.Trials,
+		Cores:  runtime.NumCPU(),
+	})
+	kern := route.Kernel
 	shards := 1
 	if kern == core.KernelSpanSharded {
 		// Resolve the two-level budget once, here, so the effective split
@@ -295,14 +301,20 @@ func RunCtx(ctx context.Context, spec Spec) (*Batch, error) {
 			kern = core.KernelSpan
 		}
 	}
-	run, ok := runners[class][kern]
-	if !ok {
-		// Unreachable while the runner table covers the registry; kept so
-		// a registry entry added without a runner degrades to the static
-		// default instead of a nil call.
-		run = runners[class][kernels.Fallback(class)]
+	var trials []Trial
+	var err error
+	switch kern {
+	case core.KernelSliced:
+		trials, err = runZeroOne(ctx, spec, seed, stream, makeInput, spec.Trials-route.PackedTail)
+	case core.KernelPacked:
+		trials, err = runZeroOne(ctx, spec, seed, stream, makeInput, 0)
+	case core.KernelSpanSharded:
+		trials, err = runSpanSharded(ctx, spec, seed, stream, makeInput)
+	case core.KernelThreshold:
+		trials, err = runThreshold(ctx, spec, seed, stream, makeInput)
+	default: // span, generic
+		trials, err = runEngine(ctx, spec, seed, stream, makeInput, kern)
 	}
-	trials, err := run(ctx, spec, seed, stream, makeInput)
 	if err != nil {
 		if spec.TrialOffset > 0 {
 			// Runner errors name trials by local index; anchor the shard so
@@ -346,72 +358,30 @@ func splitParallelism(spec Spec) (workers, shards int) {
 	return workers, engine.AutoShards(spec.Rows, spec.Cols, budget)
 }
 
-// runner executes a batch with one fixed executor family.
-type runner func(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
-	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error)) ([]Trial, error)
-
-// runners is the dispatch table behind the kernel registry: one executor
-// adapter per (workload class, kernel) pair that internal/kernels
-// declares eligible. All selection policy lives in the registry + tuner;
-// this table only says how each choice runs.
-var runners = map[kernels.Class]map[core.Kernel]runner{
-	kernels.Permutation: {
-		core.KernelSpan:        runEngine(core.KernelSpan),
-		core.KernelSpanSharded: runSpanSharded,
-		core.KernelGeneric:     runEngine(core.KernelGeneric),
-		core.KernelThreshold:   runThreshold,
-	},
-	kernels.ZeroOne: {
-		core.KernelSliced:  runSliced,
-		core.KernelPacked:  runPacked,
-		core.KernelGeneric: runEngine(core.KernelGeneric),
-	},
-}
-
-// probeTrials is the pinned batch size of one calibration probe.
-const probeTrials = 4
-
-// resolveKernel asks the registry + tuner which executor family serves
-// the batch. A measured probe is offered only when the process opted in
-// via $MESHSORT_TUNE and the batch is large enough to amortize timing
-// every eligible kernel once; probes run a fixed trial prefix on one
-// worker, so they are deterministic in everything but time.
-//
-//meshlint:exempt detrand calibration probes time kernels by design; the timing picks which bit-identical executor runs and can never change results
-func resolveKernel(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
-	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error)) core.Kernel {
-	class := kernels.ClassOf(spec.ZeroOne)
-	key := kernels.Key{Algorithm: spec.Algorithm.ShortName(), Rows: spec.Rows, Cols: spec.Cols, Class: class}
-	var probe kernels.Probe
-	if kernels.TuningEnabled() && spec.Trials >= 4*probeTrials {
-		probe = func(k core.Kernel) (float64, error) {
-			ps := spec
-			ps.Trials = probeTrials
-			ps.Workers = 1
-			ps.Kernel = k
-			start := time.Now()
-			if _, err := runners[class][k](ctx, ps, seed, stream, makeInput); err != nil {
-				return 0, err
+// runEngine executes a batch one trial at a time on the scalar engine
+// with an engine-level kernel hint (generic or span), reusing one input
+// buffer per worker.
+func runEngine(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
+	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error), kern core.Kernel) ([]Trial, error) {
+	// Warm the shared compiled-schedule cache before the pool starts,
+	// so workers never race to build it.
+	spec.Algorithm.Schedule(spec.Rows, spec.Cols)
+	name := spec.Algorithm.ShortName()
+	return mapWorkers(ctx, spec.Workers, spec.Trials,
+		func() *grid.Grid { return grid.New(spec.Rows, spec.Cols) },
+		func(buf *grid.Grid, i int) (Trial, error) {
+			src := rng.NewStream(seed, stream(i))
+			g, err := makeInput(src, buf, i)
+			if err != nil {
+				return Trial{}, err
 			}
-			return float64(time.Since(start).Nanoseconds()) / probeTrials, nil
-		}
-	}
-	return kernels.Shared().Resolve(spec.Kernel, key, probe)
-}
-
-// runEngine adapts the scalar engine (with an engine-level kernel hint:
-// generic or span) as a per-trial runner.
-func runEngine(kern core.Kernel) runner {
-	return func(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
-		makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error)) ([]Trial, error) {
-		// Warm the shared compiled-schedule cache before the pool starts,
-		// so workers never race to build it.
-		spec.Algorithm.Schedule(spec.Rows, spec.Cols)
-		return runPerTrial(ctx, spec, seed, stream, makeInput,
-			func(g *grid.Grid) (engine.Result, error) {
-				return core.Sort(g, spec.Algorithm, core.Options{MaxSteps: spec.MaxSteps, Kernel: kern})
-			})
-	}
+			res, err := core.Sort(g, spec.Algorithm, core.Options{MaxSteps: spec.MaxSteps, Kernel: kern})
+			if err != nil {
+				return Trial{}, fmt.Errorf("%s %dx%d trial %d: %w", name, spec.Rows, spec.Cols, i, err)
+			}
+			return Trial{Steps: res.Steps, Swaps: res.Swaps, Comparisons: res.Comparisons}, nil
+		},
+		nil)
 }
 
 // shardScratch is one trial worker's reusable state for the sharded
@@ -431,7 +401,7 @@ func runSpanSharded(ctx context.Context, spec Spec, seed uint64, stream func(int
 	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error)) ([]Trial, error) {
 	workers, shards := splitParallelism(spec)
 	if shards <= 1 {
-		return runEngine(core.KernelSpan)(ctx, spec, seed, stream, makeInput)
+		return runEngine(ctx, spec, seed, stream, makeInput, core.KernelSpan)
 	}
 	// Warm the shared compiled-schedule cache before the pool starts.
 	spec.Algorithm.Schedule(spec.Rows, spec.Cols)
@@ -461,19 +431,6 @@ func runSpanSharded(ctx context.Context, spec Spec, seed uint64, stream func(int
 			return Trial{Steps: res.Steps, Swaps: res.Swaps, Comparisons: res.Comparisons}, nil
 		},
 		func(st *shardScratch) { st.pool.Close() })
-}
-
-// runPacked adapts the cell-packed 0-1 kernel as a per-trial runner.
-func runPacked(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
-	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error)) ([]Trial, error) {
-	packed, err := zeroone.CachedPacked(spec.Algorithm.ShortName(), spec.Rows, spec.Cols)
-	if err != nil {
-		return nil, err
-	}
-	return runPerTrial(ctx, spec, seed, stream, makeInput,
-		func(g *grid.Grid) (engine.Result, error) {
-			return zeroone.SortPacked(g, packed, spec.MaxSteps)
-		})
 }
 
 // thresholdScratch is one worker's reusable state for the
@@ -523,89 +480,90 @@ func runThreshold(ctx context.Context, spec Spec, seed uint64, stream func(int) 
 		nil)
 }
 
-// runPerTrial executes one trial per grid through sort, with a per-worker
-// reusable input buffer.
-func runPerTrial(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
-	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error),
-	sort func(*grid.Grid) (engine.Result, error)) ([]Trial, error) {
-	name := spec.Algorithm.ShortName()
-	return mapWorkers(ctx, spec.Workers, spec.Trials,
-		func() *grid.Grid { return grid.New(spec.Rows, spec.Cols) },
-		func(buf *grid.Grid, i int) (Trial, error) {
-			src := rng.NewStream(seed, stream(i))
-			g, err := makeInput(src, buf, i)
-			if err != nil {
-				return Trial{}, err
-			}
-			res, err := sort(g)
-			if err != nil {
-				return Trial{}, fmt.Errorf("%s %dx%d trial %d: %w", name, spec.Rows, spec.Cols, i, err)
-			}
-			return Trial{Steps: res.Steps, Swaps: res.Swaps, Comparisons: res.Comparisons}, nil
-		},
-		nil)
-}
-
-// slicedScratch is one worker's reusable state for the trial-sliced
-// kernel: the 64-lane slice buffer and the grid the generator fills.
-type slicedScratch struct {
+// zeroOneScratch is one worker's reusable state for the 0-1 kernels:
+// the grid the generator fills and, once the worker claims a sliced
+// block, the 64-lane slice buffer.
+type zeroOneScratch struct {
 	ts  *zeroone.TrialSlice
 	buf *grid.Grid
 }
 
-// runSliced executes a ZeroOne batch through the trial-sliced kernel:
-// trials are grouped into fixed blocks of 64 (the last one ragged when
-// Trials % 64 != 0) and each block runs in lockstep, one bit lane per
-// trial. Block boundaries depend only on trial indices, so results — and
-// the error reported on failure, which is the one of the smallest failing
-// trial index — are identical to the per-trial paths.
-func runSliced(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
-	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error)) ([]Trial, error) {
+// runZeroOne executes a ZeroOne batch with trials [0, sliced) on the
+// trial-sliced kernel and trials [sliced, Trials) on the cell-packed
+// kernel, in one worker pool. The work units are the sliced blocks of 64
+// trials (the last one ragged when sliced % 64 != 0), then the packed
+// trials one by one, so a batch of one full slice and a small tail keeps
+// every worker busy. Units are ordered by trial index and each covers a
+// contiguous range, so the error reported on failure — the one of the
+// smallest failing unit — is the one of the smallest failing trial, as
+// on the per-trial paths; results are identical for every split.
+func runZeroOne(ctx context.Context, spec Spec, seed uint64, stream func(int) uint64,
+	makeInput func(rng.Source, *grid.Grid, int) (*grid.Grid, error), sliced int) ([]Trial, error) {
 	name := spec.Algorithm.ShortName()
-	ss, err := zeroone.CachedSliced(name, spec.Rows, spec.Cols)
-	if err != nil {
-		return nil, err
+	var (
+		ss  *zeroone.SlicedSchedule
+		ps  *zeroone.PackedSchedule
+		err error
+	)
+	if sliced > 0 {
+		if ss, err = zeroone.CachedSliced(name, spec.Rows, spec.Cols); err != nil {
+			return nil, err
+		}
 	}
-	blocks := (spec.Trials + 63) / 64
-	blockTrials, err := mapWorkers(ctx, spec.Workers, blocks,
-		func() *slicedScratch {
-			return &slicedScratch{
-				ts:  zeroone.NewTrialSlice(spec.Rows, spec.Cols),
-				buf: grid.New(spec.Rows, spec.Cols),
+	if sliced < spec.Trials {
+		if ps, err = zeroone.CachedPacked(name, spec.Rows, spec.Cols); err != nil {
+			return nil, err
+		}
+	}
+	trialErr := func(i int, err error) error {
+		return fmt.Errorf("%s %dx%d trial %d: %w", name, spec.Rows, spec.Cols, i, err)
+	}
+	blocks := (sliced + 63) / 64
+	trials := make([]Trial, spec.Trials)
+	_, err = mapWorkers(ctx, spec.Workers, blocks+spec.Trials-sliced,
+		func() *zeroOneScratch { return &zeroOneScratch{buf: grid.New(spec.Rows, spec.Cols)} },
+		func(sc *zeroOneScratch, u int) (struct{}, error) {
+			if u >= blocks {
+				i := sliced + u - blocks
+				g, err := makeInput(rng.NewStream(seed, stream(i)), sc.buf, i)
+				if err != nil {
+					return struct{}{}, err
+				}
+				res, err := zeroone.SortPacked(g, ps, spec.MaxSteps)
+				if err != nil {
+					return struct{}{}, trialErr(i, err)
+				}
+				trials[i] = Trial{Steps: res.Steps, Swaps: res.Swaps, Comparisons: res.Comparisons}
+				return struct{}{}, nil
 			}
-		},
-		func(sc *slicedScratch, b int) ([]Trial, error) {
-			lo := b * 64
-			hi := min(lo+64, spec.Trials)
+			if sc.ts == nil {
+				sc.ts = zeroone.NewTrialSlice(spec.Rows, spec.Cols)
+			}
+			lo := u * 64
+			hi := min(lo+64, sliced)
 			sc.ts.Reset()
 			for i := lo; i < hi; i++ {
-				src := rng.NewStream(seed, stream(i))
-				g, err := makeInput(src, sc.buf, i)
+				g, err := makeInput(rng.NewStream(seed, stream(i)), sc.buf, i)
 				if err != nil {
-					return nil, err
+					return struct{}{}, err
 				}
 				sc.ts.AddGrid(g)
 			}
 			results, errs, err := zeroone.SortSliced(sc.ts, ss, spec.MaxSteps)
 			if err != nil {
-				return nil, err
+				return struct{}{}, err
 			}
-			out := make([]Trial, hi-lo)
-			for k := range out {
+			for k := 0; k < hi-lo; k++ {
 				if errs != nil && errs[k] != nil {
-					return nil, fmt.Errorf("%s %dx%d trial %d: %w", name, spec.Rows, spec.Cols, lo+k, errs[k])
+					return struct{}{}, trialErr(lo+k, errs[k])
 				}
-				out[k] = Trial{Steps: results[k].Steps, Swaps: results[k].Swaps, Comparisons: results[k].Comparisons}
+				trials[lo+k] = Trial{Steps: results[k].Steps, Swaps: results[k].Swaps, Comparisons: results[k].Comparisons}
 			}
-			return out, nil
+			return struct{}{}, nil
 		},
 		nil)
 	if err != nil {
 		return nil, err
-	}
-	trials := make([]Trial, 0, spec.Trials)
-	for _, bt := range blockTrials {
-		trials = append(trials, bt...)
 	}
 	return trials, nil
 }

@@ -572,8 +572,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // statusResponse is the body of GET /v1/jobs/{id}. Kernel and Shards
 // report the effective execution choice — what actually ran after
-// auto-resolution and the parallelism split — and stay empty until the
-// job has executed (cache-hit jobs never execute, so they report none).
+// auto-resolution and the parallelism split; a 0-1 job whose ragged tail
+// ran packed beside full sliced slices reports sliced (mcbatch.Batch.Kernel)
+// — and stay empty until the job has executed (cache-hit jobs never
+// execute, so they report none).
 type statusResponse struct {
 	ID     string `json:"id"`
 	Key    string `json:"key"`

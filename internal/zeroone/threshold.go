@@ -34,7 +34,7 @@ import (
 // performs Σ(a−b) ≈ N³/12 slice swaps for N²/12-ish permutation swaps —
 // so this kernel is the *verification* executor: it cross-checks the
 // span kernel bit for bit (and accelerates sortnet.StepsViaThresholds-
-// style decomposition sweeps by ~64x), while the measured tuner keeps the
+// style decomposition sweeps by ~64x), while kernels.Select keeps the
 // span kernel for throughput. See DESIGN.md §11.
 
 // ErrNotPermutation reports that a grid handed to SortThresholds does not
