@@ -62,14 +62,17 @@ bench-fabric:
 	$(GO) run ./cmd/benchbatch -suite fabric -out BENCH_fabric.json $(BENCHFLAGS)
 
 # bench-smoke runs the repository benchmark's own tests, then a 2-second
-# zeroone-sweep, and fails unless its result line (the last one) reports
-# every op correct and none failed.
+# zeroone-sweep and a 2-second perm-sweep (the span kernel's workload),
+# and fails unless each result line (the last one) reports every op
+# correct and none failed.
 bench-smoke:
 	cd meshbench && $(GO) test ./...
-	@out="$$(bash meshbench/run.sh --workload zeroone-sweep --seed 1 --seconds 2 --trace 0)" || exit 1; \
-	last="$$(printf '%s\n' "$$out" | tail -n 1)"; echo "$$last"; \
-	echo "$$last" | grep -Eq '"correct": ?true' && echo "$$last" | grep -Eq '"failed": ?0[,}]' || \
-		{ echo "bench-smoke: result line is not correct with 0 failed"; exit 1; }
+	@for w in zeroone-sweep perm-sweep; do \
+		out="$$(bash meshbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0)" || exit 1; \
+		last="$$(printf '%s\n' "$$out" | tail -n 1)"; echo "$$w: $$last"; \
+		echo "$$last" | grep -Eq '"correct": ?true' && echo "$$last" | grep -Eq '"failed": ?0[,}]' || \
+			{ echo "bench-smoke: $$w result line is not correct with 0 failed"; exit 1; }; \
+	done
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -212,7 +212,6 @@ type ShardPool struct {
 	// channel send/receive pairs (and done-channel replies) order every
 	// access, so none of these need locks.
 	cells   []int32
-	u       []uint64
 	sharded *shardedPlan
 	arenas  []shardArena
 
@@ -266,7 +265,7 @@ func (p *ShardPool) worker(w int, jobs <-chan shardJob) {
 	for job := range jobs {
 		part := &p.sharded.phases[job.pi][w+1]
 		a := &p.arenas[w+1]
-		p.done <- execPhaseSpans(p.cells, p.u, part.spans,
+		p.done <- execPhaseSpans(p.cells, part.spans,
 			a.cur[part.curOff:], a.win[2*job.pi:2*job.pi+2],
 			job.p32, job.ns32, int32(p.sharded.plan.cols))
 	}
@@ -380,7 +379,6 @@ func runDistinctSpansSharded(g *grid.Grid, plan *spanPlan, maxSteps int, tr *gri
 	for i, v := range gc {
 		cells[i] = int32(v)
 	}
-	pool.u = wordView(cells)
 	pool.resetCursors(sharded)
 	writeBack := func() {
 		for i, v := range cells {
@@ -411,7 +409,7 @@ func runDistinctSpansSharded(g *grid.Grid, plan *spanPlan, maxSteps int, tr *gri
 		}
 		part := &sharded.phases[ph][0]
 		a := &pool.arenas[0]
-		swaps := execPhaseSpans(cells, pool.u, part.spans,
+		swaps := execPhaseSpans(cells, part.spans,
 			a.cur[part.curOff:], a.win[2*ph:2*ph+2], p32, ns32, cols)
 		for w := 0; w < shards-1; w++ {
 			swaps += <-pool.done

@@ -84,37 +84,40 @@ func TestShardSpanPlanPartition(t *testing.T) {
 // TestShardedMatchesSerialSpan is the engine-level equivalence check:
 // for every schedule, several shapes and shard counts, and both full
 // runs and mid-phase step caps, the sharded executor must produce the
-// identical Result, error, and final grid as the serial span kernel.
+// identical Result, error, and final grid as the serial span kernel —
+// under each sweep arm, since shards run the same sweeps concurrently.
 func TestShardedMatchesSerialSpan(t *testing.T) {
-	for _, shape := range [][2]int{{4, 4}, {6, 4}, {7, 6}, {9, 8}, {16, 16}, {5, 2}, {12, 3}} {
-		rows, cols := shape[0], shape[1]
-		for _, s := range schedules(rows, cols) {
-			for trial := 0; trial < 3; trial++ {
-				src := rng.NewStream(7, uint64(trial)<<8|uint64(rows))
-				input := workload.RandomPermutation(src, rows, cols)
-				for _, maxSteps := range []int{0, 1, 3, s.Period() + 1} {
-					ref := input.Clone()
-					want, wantErr := Run(ref, s, Options{Kernel: KernelSpan, MaxSteps: maxSteps})
-					for _, shards := range []int{1, 2, 3, 4, 8} {
-						got := input.Clone()
-						res, err := Run(got, s, Options{Kernel: KernelSpanSharded, Shards: shards, MaxSteps: maxSteps})
-						if res != want {
-							t.Fatalf("%s %dx%d shards=%d cap=%d trial %d: result %+v, want %+v",
-								s.Name(), rows, cols, shards, maxSteps, trial, res, want)
-						}
-						if !sameStepLimit(err, wantErr) {
-							t.Fatalf("%s %dx%d shards=%d cap=%d trial %d: err %v, want %v",
-								s.Name(), rows, cols, shards, maxSteps, trial, err, wantErr)
-						}
-						if !got.Equal(ref) {
-							t.Fatalf("%s %dx%d shards=%d cap=%d trial %d: final grids differ",
-								s.Name(), rows, cols, shards, maxSteps, trial)
+	forEachArm(t, func(t *testing.T) {
+		for _, shape := range [][2]int{{4, 4}, {6, 4}, {7, 6}, {9, 8}, {16, 16}, {5, 2}, {12, 3}} {
+			rows, cols := shape[0], shape[1]
+			for _, s := range schedules(rows, cols) {
+				for trial := 0; trial < 3; trial++ {
+					src := rng.NewStream(7, uint64(trial)<<8|uint64(rows))
+					input := workload.RandomPermutation(src, rows, cols)
+					for _, maxSteps := range []int{0, 1, 3, s.Period() + 1} {
+						ref := input.Clone()
+						want, wantErr := Run(ref, s, Options{Kernel: KernelSpan, MaxSteps: maxSteps})
+						for _, shards := range []int{1, 2, 3, 4, 8} {
+							got := input.Clone()
+							res, err := Run(got, s, Options{Kernel: KernelSpanSharded, Shards: shards, MaxSteps: maxSteps})
+							if res != want {
+								t.Fatalf("%s %dx%d shards=%d cap=%d trial %d: result %+v, want %+v",
+									s.Name(), rows, cols, shards, maxSteps, trial, res, want)
+							}
+							if !sameStepLimit(err, wantErr) {
+								t.Fatalf("%s %dx%d shards=%d cap=%d trial %d: err %v, want %v",
+									s.Name(), rows, cols, shards, maxSteps, trial, err, wantErr)
+							}
+							if !got.Equal(ref) {
+								t.Fatalf("%s %dx%d shards=%d cap=%d trial %d: final grids differ",
+									s.Name(), rows, cols, shards, maxSteps, trial)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func sameStepLimit(a, b error) bool {

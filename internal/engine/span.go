@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"sync"
-	"unsafe"
 
 	"repro/internal/grid"
 	"repro/internal/sched"
@@ -252,41 +251,15 @@ func b2i(b bool) int {
 // runDistinctSpans): permutation values are bounded by the cell count, so
 // narrowing is exact, and it halves the bytes the hot loops move.
 //
-// On little-endian hosts with an 8-byte-aligned shadow, a horizontal pair
-// of adjacent int32 cells starting on an even flat index is exactly one
-// uint64 word, so those sweeps carry a reinterpreted []uint64 view and
-// compare-exchange whole words: one load and one store per pair instead
-// of two of each, which is what the scalar loops are bound by. Only the
-// aligned case is word-packed — odd-start sweeps would need a serial
-// carry between adjacent words (a loop-borne dependency the profiler
-// showed costing 2-3x the aligned loop) and vertical sweeps would spend
-// more on lane packing than the saved stores, so both stay scalar. Every
-// word path has a scalar twin that is the semantic definition; the
-// differential suites exercise them against each other on every
-// little-endian build.
-
-// hostLittleEndian reports whether int32 lane 0 of a uint64 view is the
-// low half. The word-packed sweeps assume it; big-endian hosts take the
-// scalar paths.
-var hostLittleEndian = func() bool {
-	var p [2]int32
-	p[0] = 1
-	return *(*uint64)(unsafe.Pointer(&p[0])) == 1
-}()
-
-// wordView reinterprets the int32 shadow as packed uint64 words (cells
-// 2j and 2j+1 become word j). Returns nil — callers fall back to scalar
-// sweeps — on big-endian hosts or if the allocator handed back a shadow
-// that is not 8-byte aligned (possible only for tiny grids).
-func wordView(cells []int32) []uint64 {
-	if !hostLittleEndian || len(cells) < 2 {
-		return nil
-	}
-	if uintptr(unsafe.Pointer(&cells[0]))&7 != 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&cells[0])), len(cells)>>1)
-}
+// On CPUs with AVX2 (useAVX2, set by the probe in sweep_amd64.go) each
+// sweep hands its whole groups — four H pairs or eight stride-1 or four
+// stride-2 V pairs per 256-bit register — to its assembly form and
+// finishes the remainder with the scalar loop below it. The scalar loops
+// are the semantic definition and the only path on other CPUs; the arm
+// differential tests (TestSweepArmsAgree, FuzzSweepArms) hold the two
+// forms to identical cells and swap counts. Every assembly loop touches
+// exactly its span's cells, which is what lets the sharded executor run
+// shards' sweeps concurrently over one shadow.
 
 // execHSpanFwd applies the forward pairs (start+2k, start+2k+1), smaller
 // value to the left cell, with branchless min/max and no per-comparator
@@ -294,12 +267,14 @@ func wordView(cells []int32) []uint64 {
 // like the comparator executors).
 //
 //meshlint:hot
-func execHSpanFwd(cells []int32, u []uint64, start, pairs int32) int {
-	if u != nil && start&1 == 0 {
-		return execHFwdWords(u[start>>1 : int(start>>1)+int(pairs)])
-	}
+func execHSpanFwd(cells []int32, start, pairs int32) int {
 	swaps := 0
 	w := cells[start : int(start)+2*int(pairs)]
+	if useAVX2 && len(w) >= 8 {
+		n := len(w) &^ 7
+		swaps = hFwdAVX2(w[:n])
+		w = w[n:]
+	}
 	for k := 1; k < len(w); k += 2 {
 		a, b := w[k-1], w[k]
 		w[k-1] = min(a, b)
@@ -309,59 +284,24 @@ func execHSpanFwd(cells []int32, u []uint64, start, pairs int32) int {
 	return swaps
 }
 
-// execHFwdWords is the aligned word form of a forward sweep: each word
-// is one pair, and the sorted word is either the word itself or its
-// 32-bit rotation, picked by one conditional move — no lane unpacking
-// or repacking on the store path.
-//
-//meshlint:hot
-func execHFwdWords(w []uint64) int {
-	swaps := 0
-	for k, x := range w {
-		r := x>>32 | x<<32
-		gt := int32(uint32(x)) > int32(x>>32)
-		if gt {
-			x = r
-		}
-		w[k] = x
-		swaps += b2i(gt)
-	}
-	return swaps
-}
-
 // execHSpanRev is the reverse-direction variant: smaller value to the
 // right cell. The comparator's Lo is the right cell, so an exchange
 // happens exactly when w[k+1] > w[k] held before the step.
 //
 //meshlint:hot
-func execHSpanRev(cells []int32, u []uint64, start, pairs int32) int {
-	if u != nil && start&1 == 0 {
-		return execHRevWords(u[start>>1 : int(start>>1)+int(pairs)])
-	}
+func execHSpanRev(cells []int32, start, pairs int32) int {
 	swaps := 0
 	w := cells[start : int(start)+2*int(pairs)]
+	if useAVX2 && len(w) >= 8 {
+		n := len(w) &^ 7
+		swaps = hRevAVX2(w[:n])
+		w = w[n:]
+	}
 	for k := 1; k < len(w); k += 2 {
 		a, b := w[k-1], w[k]
 		w[k-1] = max(a, b)
 		w[k] = min(a, b)
 		swaps += b2i(b > a)
-	}
-	return swaps
-}
-
-// execHRevWords mirrors execHFwdWords with the larger value kept left.
-//
-//meshlint:hot
-func execHRevWords(w []uint64) int {
-	swaps := 0
-	for k, x := range w {
-		r := x>>32 | x<<32
-		gt := int32(x>>32) > int32(uint32(x))
-		if gt {
-			x = r
-		}
-		w[k] = x
-		swaps += b2i(gt)
 	}
 	return swaps
 }
@@ -376,6 +316,11 @@ func execVSpan1(cells []int32, top, pairs, cols int32) int {
 	swaps := 0
 	t := cells[top : top+pairs]
 	b := cells[top+cols : top+cols+pairs]
+	if useAVX2 && len(t) >= 8 {
+		n := len(t) &^ 7
+		swaps = v1AVX2(t[:n], b[:n])
+		t, b = t[n:], b[n:]
+	}
 	b = b[:len(t)] // hoist the bounds proof out of the loop
 	for k := range t {
 		x, y := t[k], b[k]
@@ -387,11 +332,20 @@ func execVSpan1(cells []int32, top, pairs, cols int32) int {
 }
 
 // execVSpanN applies a strided vertical span (stride 2 for the
-// alternating-parity column steps of SN-B/SN-C).
+// alternating-parity column steps of SN-B/SN-C; only stride 2 has a
+// vector form).
 //
 //meshlint:hot
 func execVSpanN(cells []int32, top, stride, pairs, cols int32) int {
 	swaps := 0
+	if useAVX2 && stride == 2 && pairs >= 4 {
+		// Whole groups of four pairs; each slice ends on the group's
+		// last pair cell, so the masked loop's footprint is exact.
+		g := pairs &^ 3
+		swaps = v2AVX2(cells[top:top+2*g-1], cells[top+cols:top+cols+2*g-1])
+		top += 2 * g
+		pairs -= g
+	}
 	for k := int32(0); k < pairs; k++ {
 		i := top + k*stride
 		x, y := cells[i], cells[i+cols]
@@ -412,7 +366,7 @@ func execVSpanN(cells []int32, top, stride, pairs, cols int32) int {
 //
 //meshlint:exempt oblivious settled-window trimming around a branchless span sweep; exactness is proven by the differential suites
 //meshlint:hot
-func execPhaseSpans(cells []int32, u []uint64, spans []span, cur, win []int32, p32, ns32, cols int32) int {
+func execPhaseSpans(cells []int32, spans []span, cur, win []int32, p32, ns32, cols int32) int {
 	swaps := 0
 	jLo, jHi := win[0], win[1]
 	for jLo < jHi {
@@ -471,9 +425,9 @@ func execPhaseSpans(cells []int32, u []uint64, spans []span, cur, win []int32, p
 		pairs := kHi - kLo
 		switch sp.kind {
 		case kindHFwd:
-			swaps += execHSpanFwd(cells, u, base, pairs)
+			swaps += execHSpanFwd(cells, base, pairs)
 		case kindHRev:
-			swaps += execHSpanRev(cells, u, base, pairs)
+			swaps += execHSpanRev(cells, base, pairs)
 		case kindV1:
 			swaps += execVSpan1(cells, base, pairs, cols)
 		default:
@@ -510,7 +464,6 @@ func runDistinctSpans(g *grid.Grid, plan *spanPlan, maxSteps int, tr *grid.Disti
 	for i, v := range gc {
 		cells[i] = int32(v)
 	}
-	u := wordView(cells)
 	writeBack := func() {
 		for i, v := range cells {
 			gc[i] = int(v)
@@ -553,7 +506,7 @@ func runDistinctSpans(g *grid.Grid, plan *spanPlan, maxSteps int, tr *grid.Disti
 			pi = 0
 		}
 		p32, ns32 := int32(p), int32(n-s)
-		swaps := execPhaseSpans(cells, u, ph.spans, cur[ph.curOff:], win[w:w+2], p32, ns32, cols)
+		swaps := execPhaseSpans(cells, ph.spans, cur[ph.curOff:], win[w:w+2], p32, ns32, cols)
 		res.Swaps += int64(swaps)
 		res.Comparisons += ph.pairs
 		for p+s < n && cells[rankFlat[p]] == min32+int32(p) {

@@ -117,6 +117,10 @@ func requireIdentical(t *testing.T, spec mcbatch.Spec, got *mcbatch.Batch) {
 	if string(gotJSON) != string(wantJSON) {
 		t.Fatalf("payload bytes diverge:\n%s\nvs\n%s", gotJSON, wantJSON)
 	}
+	if cap(gotJSON) != len(gotJSON) || cap(wantJSON) != len(wantJSON) {
+		t.Fatalf("payloads carry spare capacity: cap %d/%d for len %d/%d",
+			cap(gotJSON), cap(wantJSON), len(gotJSON), len(wantJSON))
+	}
 }
 
 func TestRunMatchesSingleNode(t *testing.T) {

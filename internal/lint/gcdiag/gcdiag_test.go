@@ -71,7 +71,7 @@ func TestDiff(t *testing.T) {
 		Go:              "goX",
 		Files: map[string]map[string]FuncDiag{
 			"internal/engine/span.go": {
-				"execHFwdWords":    {BoundsChecks: 0},
+				"execHSpanRev":     {BoundsChecks: 0},
 				"runDistinctSpans": {BoundsChecks: 3, Escapes: []string{"make([]int32, n) escapes to heap"}},
 			},
 		},
@@ -81,7 +81,7 @@ func TestDiff(t *testing.T) {
 		Go:              "goX",
 		Files: map[string]map[string]FuncDiag{
 			"internal/engine/span.go": {
-				"execHFwdWords":    {BoundsChecks: 0},
+				"execHSpanRev":     {BoundsChecks: 0},
 				"runDistinctSpans": {BoundsChecks: 3, Escapes: []string{"make([]int32, n) escapes to heap"}},
 			},
 		},
@@ -96,8 +96,8 @@ func TestDiff(t *testing.T) {
 		want   string
 	}{
 		{"reintroduced bounds check", func(m *Manifest) {
-			m.Files["internal/engine/span.go"]["execHFwdWords"] = FuncDiag{BoundsChecks: 1}
-		}, "execHFwdWords: bounds checks 0 -> 1"},
+			m.Files["internal/engine/span.go"]["execHSpanRev"] = FuncDiag{BoundsChecks: 1}
+		}, "execHSpanRev: bounds checks 0 -> 1"},
 		{"new heap escape", func(m *Manifest) {
 			d := m.Files["internal/engine/span.go"]["runDistinctSpans"]
 			d.Escapes = append(append([]string{}, d.Escapes...), "x escapes to heap")
@@ -115,7 +115,7 @@ func TestDiff(t *testing.T) {
 	for _, c := range cases {
 		cur := &Manifest{ManifestVersion: ManifestVersion, Go: "goX", Files: map[string]map[string]FuncDiag{
 			"internal/engine/span.go": {
-				"execHFwdWords":    {BoundsChecks: 0},
+				"execHSpanRev":     {BoundsChecks: 0},
 				"runDistinctSpans": {BoundsChecks: 3, Escapes: []string{"make([]int32, n) escapes to heap"}},
 			},
 		}}

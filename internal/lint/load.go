@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -153,6 +154,19 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	return pkg, nil
 }
 
+// isSourceFile reports whether dir/name is a non-test Go source file the
+// go command would compile for the current GOOS/GOARCH: its file-name
+// suffixes and //go:build line are honored, so a package with per-arch
+// files type-checks as one build does.
+func isSourceFile(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+		strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return err == nil && ok
+}
+
 // parseDir parses the non-test .go files of dir in name order.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
@@ -162,8 +176,7 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !isSourceFile(dir, name) {
 			continue
 		}
 		full := filepath.Join(dir, name)
@@ -222,9 +235,7 @@ func (l *Loader) Discover() ([]string, error) {
 			return err
 		}
 		for _, e := range entries {
-			n := e.Name()
-			if e.IsDir() || !strings.HasSuffix(n, ".go") ||
-				strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, "_") || strings.HasPrefix(n, ".") {
+			if e.IsDir() || !isSourceFile(p, e.Name()) {
 				continue
 			}
 			rel, err := filepath.Rel(l.ModuleDir, p)

@@ -45,10 +45,13 @@ type Job struct {
 
 	spec mcbatch.Spec
 
-	mu      sync.Mutex
-	state   JobState // guarded by mu
-	errMsg  string   // guarded by mu
-	payload []byte   // guarded by mu
+	mu     sync.Mutex
+	state  JobState // guarded by mu
+	errMsg string   // guarded by mu
+	// payload is the finished result. An executed job drops it once the
+	// write-behind store put succeeds (releasePayload), leaving nil in the
+	// Done state; Server.jobResult then resolves it by Key.
+	payload []byte // guarded by mu
 	// kernel and shards record the effective execution choice reported by
 	// the batch runner — what actually ran, after auto-resolution and the
 	// two-level parallelism split — for the status API and /metrics.
@@ -69,7 +72,7 @@ func newJob(id string, key mcbatch.Key, spec mcbatch.Spec) *Job {
 }
 
 // Snapshot returns the state, error message (Failed only) and payload
-// (Done only) at one instant.
+// (Done only, nil once released) at one instant.
 func (j *Job) Snapshot() (JobState, string, []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -123,6 +126,14 @@ func (j *Job) complete(payload []byte) {
 	j.payload = payload
 	j.mu.Unlock()
 	close(j.done)
+}
+
+// releasePayload drops the job's payload reference. Call only after the
+// payload is durable in the store, which then answers for it.
+func (j *Job) releasePayload() {
+	j.mu.Lock()
+	j.payload = nil
+	j.mu.Unlock()
 }
 
 func (j *Job) fail(msg string) {

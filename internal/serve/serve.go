@@ -103,6 +103,10 @@ type Config struct {
 	// Running state until the channel yields; tests use it to hold the
 	// pool busy deterministically.
 	testGate chan struct{}
+	// testBeforeSortRead, when set, runs in the /v1/sort handler after the
+	// job finishes and before its payload is read; tests use it to order
+	// the payload release ahead of the read.
+	testBeforeSortRead func(*Job)
 }
 
 func (c Config) withDefaults() Config {
@@ -283,15 +287,43 @@ func (s *Server) runJob(job *Job) {
 
 	// Write-behind persistence: the waiter is already unblocked; the
 	// store's fsync happens off the response path. A failure degrades to
-	// compute-only (the result was still served) and is counted.
+	// compute-only (the result was still served) and is counted. Once the
+	// payload is durable the registry lets go of it, so finished jobs pin
+	// no more payloads than the cache bound; result reads resolve it by
+	// Key (jobResult).
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.Put(job.Key, payload); err != nil {
 			s.metrics.storeErrors.Add(1)
 			s.log.Warn("store put failed", "id", job.ID, "key", job.Key.String(), "err", err)
 		} else {
 			s.metrics.storePuts.Add(1)
+			job.releasePayload()
 		}
 	}
+}
+
+// jobResult returns the job's state, error message and payload. A Done
+// job whose payload was released after its store write is resolved by
+// Key, through the cache and then the store; err reports a released
+// payload neither could produce.
+func (s *Server) jobResult(job *Job) (JobState, string, []byte, error) {
+	state, errMsg, payload := job.Snapshot()
+	if state != JobDone || payload != nil {
+		return state, errMsg, payload, nil
+	}
+	if p, ok := s.cache.get(job.Key); ok {
+		return state, errMsg, p, nil
+	}
+	p, ok, err := s.cfg.Store.Get(job.Key) // only store-backed jobs release
+	if err == nil && !ok {
+		err = fmt.Errorf("job %s: released payload %s is not in the store", job.ID, job.Key)
+	}
+	if err != nil {
+		s.metrics.storeErrors.Add(1)
+		s.log.Warn("released payload unreadable", "id", job.ID, "key", job.Key.String(), "err", err)
+		return state, errMsg, nil, err
+	}
+	return state, errMsg, p, nil
 }
 
 // apiError is a client-visible failure with its HTTP status.
@@ -613,7 +645,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown job id")
 		return
 	}
-	state, errMsg, payload := job.Snapshot()
+	state, errMsg, payload, err := s.jobResult(job)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "result payload unavailable")
+		return
+	}
 	switch state {
 	case JobDone:
 		if job.wasCached() {
@@ -651,7 +687,14 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusRequestTimeout, "client went away before the job finished")
 		return
 	}
-	state, errMsg, payload := out.job.Snapshot()
+	if s.cfg.testBeforeSortRead != nil {
+		s.cfg.testBeforeSortRead(out.job)
+	}
+	state, errMsg, payload, err := s.jobResult(out.job)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "result payload unavailable")
+		return
+	}
 	if state == JobFailed {
 		writeErr(w, http.StatusUnprocessableEntity, errMsg)
 		return
