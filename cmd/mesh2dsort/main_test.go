@@ -48,6 +48,7 @@ func TestRunEndToEnd(t *testing.T) {
 		{alg: "snake-a", input: "nope", side: 8, expectError: true},
 		{alg: "snake-a", input: "zero-column", trace: true, side: 8, expectError: true}, // trace needs a permutation
 		{alg: "rm-rf-nowrap", input: "zero-column", side: 8, maxSteps: 100, expectError: true},
+		{alg: "rm-rf", input: "random", side: 15, expectError: true}, // odd side: an error, not a panic
 	}
 	for _, c := range cases {
 		err := run(runConfig{

@@ -110,6 +110,25 @@ func (a Algorithm) Order() grid.Order {
 	}
 }
 
+// Validate reports whether a runs on an R×C mesh: the mesh must have at
+// least one row and one column, and the row-major algorithms (with or
+// without wrap wires) need an even column count, as the paper assumes
+// (√N = 2n). It is the one home of these shape rules: callers check a
+// request here and get an error, where the schedule constructors would
+// panic.
+func (a Algorithm) Validate(rows, cols int) error {
+	if a < 0 || a >= numAlgorithms {
+		return fmt.Errorf("core: unknown algorithm %d", int(a))
+	}
+	if rows < 1 || cols < 1 {
+		return fmt.Errorf("core: invalid mesh %dx%d: rows and cols must be >= 1", rows, cols)
+	}
+	if a.Order() == grid.RowMajor && cols%2 != 0 {
+		return fmt.Errorf("core: %s needs an even number of columns, got %d", a.ShortName(), cols)
+	}
+	return nil
+}
+
 // Schedule returns the compiled comparator schedule of a for an R×C mesh.
 // Schedules are built once per (algorithm, rows, cols) and shared
 // read-only across all subsequent calls, so per-trial Sort calls in a

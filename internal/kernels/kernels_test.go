@@ -78,14 +78,16 @@ func TestShardedGate(t *testing.T) {
 
 // TestSelectRule pins the 0-1 routing rule at its boundaries: the
 // crossover of each side (one below it splits, at it the tail stays a
-// sliced block), exactly one slice, an empty batch, the cap, and a
+// sliced block), exactly one slice, an empty batch, the side from which
+// the whole batch runs packed (43, where the crossover reaches 64), and a
 // rectangular mesh, whose side is ⌊√(R·C)⌋.
 func TestSelectRule(t *testing.T) {
 	for _, tc := range []struct {
 		rows, cols, crossover int
 	}{
-		{1, 1, 0}, {4, 4, 3}, {8, 8, 6}, {9, 8, 6}, {12, 12, 9}, {16, 16, 12},
-		{20, 20, 15}, {24, 24, 18}, {25, 25, 18}, {128, 128, 18}, {2, 64, 8}, {64, 2, 8},
+		{1, 1, 1}, {4, 4, 6}, {8, 8, 12}, {9, 8, 12}, {12, 12, 18}, {16, 16, 24},
+		{24, 24, 36}, {32, 32, 48}, {42, 42, 63}, {43, 43, 64}, {128, 128, 64},
+		{2, 64, 16}, {64, 2, 16}, {2, 925, 64}, {2, 882, 63},
 	} {
 		if got := PackedCrossover(tc.rows, tc.cols); got != tc.crossover {
 			t.Errorf("PackedCrossover(%d, %d) = %d, want %d", tc.rows, tc.cols, got, tc.crossover)
@@ -100,27 +102,35 @@ func TestSelectRule(t *testing.T) {
 	}{
 		{8, 8, 0, sliced(0)},
 		{8, 8, 1, packed},
-		{8, 8, 5, packed},
-		{8, 8, 6, sliced(0)},
+		{8, 8, 11, packed},
+		{8, 8, 12, sliced(0)},
 		{8, 8, 63, sliced(0)},
 		{8, 8, 64, sliced(0)},
 		{8, 8, 65, sliced(1)},
-		{8, 8, 69, sliced(5)},
-		{8, 8, 70, sliced(0)},
+		{8, 8, 75, sliced(11)},
+		{8, 8, 76, sliced(0)},
 		{8, 8, 128, sliced(0)},
-		{16, 16, 11, packed},
-		{16, 16, 12, sliced(0)},
-		{16, 16, 75, sliced(11)},
-		{16, 16, 76, sliced(0)},
-		{128, 128, 1, packed},
-		{128, 128, 17, packed},
-		{128, 128, 18, sliced(0)},
-		{128, 128, 1000, sliced(0)}, // tail 40
-		{128, 128, 1041, sliced(17)},
-		{2, 64, 7, packed},
-		{2, 64, 8, sliced(0)},
-		{9, 8, 200, sliced(0)}, // tail 8
-		{9, 8, 197, sliced(5)},
+		{16, 16, 23, packed},
+		{16, 16, 24, sliced(0)},
+		{16, 16, 87, sliced(23)},
+		{16, 16, 88, sliced(0)},
+		{32, 32, 47, packed},
+		{32, 32, 48, sliced(0)},
+		{32, 32, 1000, sliced(40)},
+		{32, 32, 1008, sliced(0)}, // tail 48
+		{42, 42, 62, packed},
+		{42, 42, 63, sliced(0)},
+		{42, 42, 64, sliced(0)},
+		{42, 42, 65, sliced(1)},
+		{43, 43, 0, packed},
+		{43, 43, 1, packed},
+		{43, 43, 64, packed},
+		{43, 43, 65, packed},
+		{128, 128, 1000, packed},
+		{2, 64, 15, packed},
+		{2, 64, 16, sliced(0)},
+		{9, 8, 200, sliced(8)},
+		{9, 8, 204, sliced(0)}, // tail 12
 	} {
 		s := Shape{Class: ZeroOne, Rows: tc.rows, Cols: tc.cols, Trials: tc.trials, Cores: 2}
 		if got := Select(core.KernelAuto, s); got != tc.want {

@@ -142,10 +142,12 @@ type Route struct {
 //
 //   - Permutation: the sharded span executor when AutoShards finds a
 //     multi-shard split for the mesh on s.Cores, else the span kernel.
-//   - ZeroOne: every full 64-trial slice runs trial-sliced; the ragged
-//     tail (Trials % 64, which is the whole batch below 64 trials) runs
-//     cell-packed when it is below PackedCrossover, and as one more
-//     sliced block otherwise.
+//   - ZeroOne: when PackedCrossover reaches a full slice (64 trials),
+//     packed beats trial-sliced at every batch size and the whole batch
+//     runs cell-packed. Otherwise every full 64-trial slice runs
+//     trial-sliced; the ragged tail (Trials % 64, which is the whole
+//     batch below 64 trials) runs cell-packed when it is below
+//     PackedCrossover, and as one more sliced block otherwise.
 func Select(hint core.Kernel, s Shape) Route {
 	if hint != core.KernelAuto && Supports(hint, s.Class) {
 		return Route{Kernel: hint}
@@ -156,9 +158,12 @@ func Select(hint core.Kernel, s Shape) Route {
 		}
 		return Route{Kernel: core.KernelSpan}
 	}
+	c := PackedCrossover(s.Rows, s.Cols)
 	tail := s.Trials % 64
 	switch {
-	case tail == 0 || tail >= PackedCrossover(s.Rows, s.Cols):
+	case c >= 64:
+		return Route{Kernel: core.KernelPacked}
+	case tail == 0 || tail >= c:
 		return Route{Kernel: core.KernelSliced}
 	case tail == s.Trials:
 		return Route{Kernel: core.KernelPacked}
@@ -167,23 +172,25 @@ func Select(hint core.Kernel, s Shape) Route {
 	}
 }
 
-// crossoverSide is the side from which PackedCrossover stops growing.
-// In the DESIGN.md §10 crossover table the one-worker crossover climbs
-// with the side up to 24 and then holds at 21–24 trials through side 128.
-const crossoverSide = 24
+// packedSide is the mesh side from which PackedCrossover reaches a full
+// slice: in the DESIGN.md §10 crossover table a 64-trial batch runs
+// cell-packed in 0.69× the time of one sliced slice at side 48, 0.86× at
+// 64, 0.89× at 96 and 0.55× at 128 on one worker, while side 32 read
+// 0.85× in one scan and 1.13× in another.
+const packedSide = 43
 
-// PackedCrossover is the tail size from which the ragged part of a 0-1
-// batch runs as one more trial-sliced block instead of trial by trial on
-// the cell-packed kernel: 3s/4 for an R×C mesh of side
-// s = min(⌊√(R·C)⌋, crossoverSide). In the DESIGN.md §10 crossover table
-// packed stops winning at about s+1 trials on one worker (10 at side 8,
-// 12–13 at 12, 17 at 16, 19–20 at 20, 21–24 from 24 to 128) and no
-// earlier on two, so the 3/4 factor keeps packed 10–30% faster at the
-// largest tail the rule sends to it.
+// PackedCrossover is the trial count below which a 0-1 batch (or the
+// ragged tail of one) runs faster trial by trial on the cell-packed
+// kernel than as a trial-sliced block: 3s/2 for an R×C mesh of side
+// s = min(⌊√(R·C)⌋, packedSide), so it reaches 64 — a full slice — from
+// side 43 up. In the DESIGN.md §10 crossover table packed stops winning on
+// one worker at about 2–2.5s trials (16–24 at side 8, 24–32 at 12, 32–48
+// at 16, 48–64 at 24), and later on two; 3s/2 keeps packed 15–30% faster
+// at the largest tail the rule sends to it.
 func PackedCrossover(rows, cols int) int {
 	s := 0
-	for s < crossoverSide && (s+1)*(s+1) <= rows*cols {
+	for s < packedSide && (s+1)*(s+1) <= rows*cols {
 		s++
 	}
-	return 3 * s / 4
+	return 3 * s / 2
 }

@@ -49,6 +49,7 @@ const ManifestVersion = 1
 var Watched = []string{
 	"internal/engine/shard.go",
 	"internal/engine/span.go",
+	"internal/zeroone/packed.go",
 	"internal/zeroone/sliced.go",
 	"internal/zeroone/threshold.go",
 }

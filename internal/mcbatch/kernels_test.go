@@ -25,13 +25,13 @@ import (
 // Trial counts straddle the 64-trial block size (ragged lockstep tails,
 // multiple blocks in flight under Workers=8) and the 0-1 routing rule's
 // packed-tail crossover C: below C a batch runs packed, at C sliced, and
-// 64+C-1 splits into one sliced slice plus a packed tail. The 9×8 mesh
-// keeps the row-major schedules' even-column constraint while exceeding
-// 64 cells (multi-chunk threshold, multi-word packing). Offsets 64 and
-// 128 are the fabric's shard shape.
+// 64+C-1 splits into one sliced slice plus a packed tail; 5, 6, 69 and
+// 70 add more packed-only and split shapes. The 9×8 mesh keeps the row-major schedules' even-column
+// constraint while exceeding 64 cells (multi-chunk threshold, multi-word
+// packing). Offsets 64 and 128 are the fabric's shard shape.
 func TestKernelWorkerMatrix(t *testing.T) {
 	c := kernels.PackedCrossover(9, 8)
-	counts := []int{1, 63, 200, c - 1, c, 64, 64 + c - 1, 64 + c}
+	counts := []int{1, 63, 200, 5, 6, 64, 69, 70, c - 1, c, 64 + c - 1, 64 + c}
 	for _, zeroOne := range []bool{false, true} {
 		for _, alg := range []core.Algorithm{core.SnakeA, core.RowMajorRowFirst, core.Shearsort} {
 			for _, trials := range counts {
@@ -46,7 +46,7 @@ func TestKernelWorkerMatrix(t *testing.T) {
 		}
 	}
 	for _, offset := range []int{64, 128} {
-		for _, trials := range []int{c - 1, 64 + c - 1, 128} {
+		for _, trials := range []int{5, 69, c - 1, 64 + c - 1, 128} {
 			spec := mcbatch.Spec{
 				Algorithm: core.SnakeA, Rows: 9, Cols: 8, Trials: trials, TrialOffset: offset,
 				Seed: 13, ZeroOne: true,
@@ -58,10 +58,32 @@ func TestKernelWorkerMatrix(t *testing.T) {
 	}
 }
 
+// TestKernelWorkerMatrixWholePacked straddles the size boundary of the
+// 0-1 rule: on a mesh of side 42 (⌊√(R·C)⌋) full slices still run
+// sliced, from side 43 the crossover reaches a full slice and the whole
+// batch runs packed. Two-row meshes keep the scalar reference cheap at
+// that cell count; trial counts straddle one slice.
+func TestKernelWorkerMatrixWholePacked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1.8k-cell meshes under every kernel: skipped under -short")
+	}
+	for _, cols := range []int{882, 925} {
+		c := kernels.PackedCrossover(2, cols)
+		for _, trials := range []int{63, 64, 65} {
+			spec := mcbatch.Spec{
+				Algorithm: core.SnakeA, Rows: 2, Cols: cols, Trials: trials, Seed: 19, ZeroOne: true,
+			}
+			t.Run(fmt.Sprintf("2x%d-%d", cols, trials), func(t *testing.T) {
+				compareRouted(t, spec, c)
+			})
+		}
+	}
+}
+
 // compareRouted runs spec through kerneltest.CompareBatches and checks
 // the kernel the auto-routed batch reports: span for permutations; for
 // 0-1 batches packed below the crossover c and sliced from it on, split
-// batches included.
+// batches included, and packed throughout once c reaches a full slice.
 func compareRouted(t *testing.T, spec mcbatch.Spec, c int) {
 	t.Helper()
 	b := kerneltest.CompareBatches(t, spec, []int{1, 2, 8})
@@ -71,7 +93,7 @@ func compareRouted(t *testing.T, spec mcbatch.Spec, c int) {
 	want := core.KernelSpan
 	if spec.ZeroOne {
 		want = core.KernelSliced
-		if spec.Trials < c {
+		if spec.Trials < c || c >= 64 {
 			want = core.KernelPacked
 		}
 	}

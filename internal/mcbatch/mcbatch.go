@@ -23,7 +23,9 @@
 //     permutation trials run on the engine's span kernel (sharded on big
 //     meshes), and a ZeroOne batch runs its full 64-trial slices on the
 //     trial-sliced kernel and a small ragged tail — the whole batch below
-//     64 trials — on the cell-packed kernel, all in one worker pool.
+//     64 trials — on the cell-packed kernel, all in one worker pool; from
+//     side 43 up, where packed beats a full slice, the whole batch runs
+//     cell-packed.
 //     Every registered kernel of a class is bit-identical on it, so the
 //     choice can never change results.
 package mcbatch
@@ -163,11 +165,12 @@ type Spec struct {
 	// the batch by its shape: span (or span-sharded) for permutation
 	// batches; for ZeroOne batches, trial-sliced for the full 64-trial
 	// slices and cell-packed for a ragged tail below
-	// kernels.PackedCrossover. A hint naming a kernel of the batch's class
-	// (permutation: generic, span, span-sharded, threshold; ZeroOne:
-	// generic, packed, sliced) runs every trial on that executor; a hint
-	// from the other class is treated as Auto, so the option is never an
-	// error.
+	// kernels.PackedCrossover, or cell-packed throughout on meshes where
+	// that crossover reaches a full slice. A hint naming a kernel of the
+	// batch's class (permutation: generic, span, span-sharded, threshold;
+	// ZeroOne: generic, packed, sliced) runs every trial on that
+	// executor; a hint from the other class is treated as Auto, so the
+	// option is never an error.
 	Kernel core.Kernel
 	// Shards is the intra-trial row-shard count for the sharded span
 	// executor; it matters only when that kernel runs. 0 resolves
@@ -235,8 +238,8 @@ func RunCtx(ctx context.Context, spec Spec) (*Batch, error) {
 	if spec.Trials < 0 {
 		return nil, fmt.Errorf("mcbatch: negative trial count %d", spec.Trials)
 	}
-	if spec.Rows < 1 || spec.Cols < 1 {
-		return nil, fmt.Errorf("mcbatch: invalid mesh %dx%d", spec.Rows, spec.Cols)
+	if err := spec.Algorithm.Validate(spec.Rows, spec.Cols); err != nil {
+		return nil, fmt.Errorf("mcbatch: %w", err)
 	}
 	if spec.TrialOffset < 0 {
 		return nil, fmt.Errorf("mcbatch: negative trial offset %d", spec.TrialOffset)
@@ -481,11 +484,12 @@ func runThreshold(ctx context.Context, spec Spec, seed uint64, stream func(int) 
 }
 
 // zeroOneScratch is one worker's reusable state for the 0-1 kernels:
-// the grid the generator fills and, once the worker claims a sliced
-// block, the 64-lane slice buffer.
+// the grid the generator fills and, once the worker claims a unit of
+// either kind, the 64-lane slice buffer or the packed word buffer.
 type zeroOneScratch struct {
-	ts  *zeroone.TrialSlice
-	buf *grid.Grid
+	ts     *zeroone.TrialSlice
+	packed *zeroone.PackedScratch
+	buf    *grid.Grid
 }
 
 // runZeroOne executes a ZeroOne batch with trials [0, sliced) on the
@@ -529,7 +533,10 @@ func runZeroOne(ctx context.Context, spec Spec, seed uint64, stream func(int) ui
 				if err != nil {
 					return struct{}{}, err
 				}
-				res, err := zeroone.SortPacked(g, ps, spec.MaxSteps)
+				if sc.packed == nil {
+					sc.packed = zeroone.NewPackedScratch(spec.Rows, spec.Cols)
+				}
+				res, err := zeroone.SortPackedScratch(g, ps, spec.MaxSteps, sc.packed)
 				if err != nil {
 					return struct{}{}, trialErr(i, err)
 				}

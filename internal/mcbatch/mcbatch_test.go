@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -208,6 +209,14 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := RunCtx(context.Background(), Spec{Algorithm: core.SnakeA, Rows: 4, Cols: 4, Trials: -1}); err == nil {
 		t.Fatal("negative trials accepted")
+	}
+	// A row-major algorithm on an odd column count is an error for both
+	// workload classes, returned before any schedule is built.
+	for _, zeroOne := range []bool{false, true} {
+		_, err := RunCtx(context.Background(), Spec{Algorithm: core.RowMajorRowFirst, Rows: 15, Cols: 15, Trials: 1, ZeroOne: zeroOne})
+		if err == nil || !strings.Contains(err.Error(), "even number of columns") {
+			t.Fatalf("zeroone=%v: rm-rf 15x15 returned %v, want the even-columns error", zeroOne, err)
+		}
 	}
 	// A Gen producing the wrong shape must fail loudly, not corrupt.
 	_, err := RunCtx(context.Background(), Spec{

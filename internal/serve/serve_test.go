@@ -377,6 +377,31 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestOddColumnRowMajorRejected pins the shape rule at the boundary: a
+// row-major algorithm on an odd column count is a 400 at submit time, not
+// a panic in a worker, and the daemon keeps serving afterwards.
+func TestOddColumnRowMajorRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"algorithm":"rm-rf","side":15,"trials":1}`,
+		`{"algorithm":"rm-cf","rows":4,"cols":15,"trials":1,"zeroone":true}`,
+	} {
+		resp, buf := postJSON(t, ts.URL+"/v1/sort", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: got %d %s, want 400", body, resp.StatusCode, buf)
+		}
+		if !strings.Contains(string(buf), "even number of columns") {
+			t.Fatalf("%s: body lacks the shape rule: %s", body, buf)
+		}
+	}
+	if resp, buf := getBody(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after rejected requests: %d %q", resp.StatusCode, buf)
+	}
+	if resp, buf := postJSON(t, ts.URL+"/v1/sort", `{"algorithm":"snake-a","side":15,"trials":2}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("snake-a 15x15 after rejected requests: %d %s", resp.StatusCode, buf)
+	}
+}
+
 // TestFailedJob submits a job whose step cap cannot be met (one step on a
 // random permutation) and expects a clean failure surface.
 func TestFailedJob(t *testing.T) {

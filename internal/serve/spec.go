@@ -88,6 +88,9 @@ func (r JobRequest) ToSpec(lim Limits) (mcbatch.Spec, error) {
 	if rows < 1 || cols < 1 {
 		return mcbatch.Spec{}, fmt.Errorf("invalid mesh %dx%d: rows and cols (or side) must be >= 1", rows, cols)
 	}
+	if err := alg.Validate(rows, cols); err != nil {
+		return mcbatch.Spec{}, err
+	}
 	if rows*cols > lim.MaxCells {
 		return mcbatch.Spec{}, fmt.Errorf("mesh %dx%d exceeds the %d-cell limit", rows, cols, lim.MaxCells)
 	}

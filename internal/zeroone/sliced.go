@@ -161,12 +161,11 @@ const (
 const blockShift = 6
 
 // slicedStep is one schedule step for the lockstep executor: the step's
-// comparators as plain flat-index pairs, ordered by their lower cell so
-// the word accesses stream through memory (column steps would otherwise
-// jump by `cols` words between construction-order comparators), plus the
-// same comparators compressed into arithmetic runs for the hot loop.
+// comparators, ordered by their lower cell so the word accesses stream
+// through memory (column steps would otherwise jump by `cols` words
+// between construction-order comparators), compressed into arithmetic
+// runs for the hot loop.
 type slicedStep struct {
-	pairs       []sched.Comparator
 	runs        []slicedRun
 	comparisons int64 // comparators in the step (matches the scalar count)
 }
@@ -240,9 +239,7 @@ func CompileSliced(s sched.Schedule) *SlicedSchedule {
 		sort.Slice(pairs, func(i, j int) bool {
 			return pairLow(pairs[i]) < pairLow(pairs[j])
 		})
-		ss.steps[si] = slicedStep{
-			pairs: pairs, runs: compressRuns(pairs), comparisons: int64(len(comps)),
-		}
+		ss.steps[si] = slicedStep{runs: compressRuns(pairs), comparisons: int64(len(comps))}
 		ss.compPrefix[si+1] = ss.compPrefix[si] + int64(len(comps))
 		ss.runStart[si] = int32(ss.totalRuns)
 		ss.totalRuns += len(ss.steps[si].runs)
@@ -308,13 +305,15 @@ type slicedCacheKey struct {
 }
 
 // CachedSliced returns the trial-sliced compilation of algorithm name on
-// an R×C mesh, building it at most once per process.
+// an R×C mesh, building it at most once per process. Like CachedPacked it
+// compiles from a fresh schedule rather than sched.Cached, so a 0-1 batch
+// does not pin the comparator lists in the shared schedule cache.
 func CachedSliced(name string, rows, cols int) (*SlicedSchedule, error) {
 	k := slicedCacheKey{name, rows, cols}
 	if v, ok := slicedCache.Load(k); ok {
 		return v.(*SlicedSchedule), nil
 	}
-	s, err := sched.Cached(name, rows, cols)
+	s, err := sched.ByName(name, rows, cols)
 	if err != nil {
 		return nil, err
 	}

@@ -53,9 +53,10 @@ func TestTrialSliceRejectsNonBinary(t *testing.T) {
 	NewTrialSlice(1, 2).AddGrid(grid.FromRows([][]int{{0, 2}}))
 }
 
-// TestCompileSlicedShape pins the compiled layout: per-step comparator
-// counts match the schedule, pairs are disjoint within a step, and they
-// are ordered by lower flat cell (the memory-streaming guarantee).
+// TestCompileSlicedShape pins the compiled layout: each step's runs
+// expand to exactly the schedule's comparators, the pairs are disjoint
+// within a step, and they are ordered by lower flat cell (the
+// memory-streaming guarantee).
 func TestCompileSlicedShape(t *testing.T) {
 	for _, name := range sched.Names() {
 		s, err := sched.ByName(name, 16, 16)
@@ -63,16 +64,31 @@ func TestCompileSlicedShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		ss := CompileSliced(s)
-		if ss.Period() != len(sched.PhasesOf(s)) {
-			t.Fatalf("%s: period %d != phases %d", name, ss.Period(), len(sched.PhasesOf(s)))
+		phases := sched.PhasesOf(s)
+		if ss.Period() != len(phases) {
+			t.Fatalf("%s: period %d != phases %d", name, ss.Period(), len(phases))
 		}
 		for i, st := range ss.steps {
-			if int64(len(st.pairs)) != st.comparisons {
-				t.Errorf("%s step %d: %d pairs but comparisons=%d", name, i+1, len(st.pairs), st.comparisons)
+			var pairs []sched.Comparator
+			for _, r := range st.runs {
+				for k := int32(0); k < r.count; k++ {
+					lo := r.base + k*r.stride
+					pairs = append(pairs, sched.Comparator{Lo: lo, Hi: lo + r.delta})
+				}
+			}
+			if int64(len(pairs)) != st.comparisons || len(pairs) != len(phases[i]) {
+				t.Errorf("%s step %d: %d pairs but comparisons=%d, schedule %d", name, i+1, len(pairs), st.comparisons, len(phases[i]))
+			}
+			want := map[sched.Comparator]bool{}
+			for _, c := range phases[i] {
+				want[c] = true
 			}
 			seen := map[int32]bool{}
 			prev := int32(-1)
-			for _, c := range st.pairs {
+			for _, c := range pairs {
+				if !want[c] {
+					t.Fatalf("%s step %d: run pair %+v is not a schedule comparator", name, i+1, c)
+				}
 				if seen[c.Lo] || seen[c.Hi] {
 					t.Fatalf("%s step %d: comparators not disjoint", name, i+1)
 				}
